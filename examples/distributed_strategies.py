@@ -13,12 +13,10 @@ Run with::
     python examples/distributed_strategies.py
 """
 
-import threading
-
 import numpy as np
 
 from repro import KFAC, KFACConfig, Tensor, nn, optim
-from repro.distributed import DistributedDataParallel, PerformanceModel, ThreadedWorld
+from repro.distributed import DistributedDataParallel, PerformanceModel, run_spmd
 from repro.experiments import format_table
 from repro.models import MLP
 
@@ -32,12 +30,9 @@ LABELS = (FEATURES @ RNG.standard_normal((10, 4)).astype(np.float32)).argmax(axi
 
 def run_strategy(grad_worker_frac: float, comm_overlap: bool = False):
     """Train on a fresh 4-rank world; return (final params, per-rank memory, comm log)."""
-    world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())
-    final_params = [None] * WORLD_SIZE
-    memory = [None] * WORLD_SIZE
 
-    def rank_program(rank: int) -> None:
-        comm = world.communicator(rank)
+    def rank_program(comm):
+        rank = comm.rank
         model = MLP(10, [32], 4, rng=np.random.default_rng(rank))
         ddp = DistributedDataParallel(model, comm)  # broadcast rank 0's weights
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -55,15 +50,12 @@ def run_strategy(grad_worker_frac: float, comm_overlap: bool = False):
             ddp.sync_gradients()
             preconditioner.step()
             optimizer.step()
-        final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
-        memory[rank] = preconditioner.memory_usage()
+        final_params = np.concatenate([p.data.ravel() for p in model.parameters()])
+        return final_params, preconditioner.memory_usage(), comm.log
 
-    threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return final_params, memory, world.log
+    # run_spmd re-raises any rank's exception once every rank has finished.
+    final_params, memory, logs = zip(*run_spmd(WORLD_SIZE, rank_program, cost_model=PerformanceModel()))
+    return final_params, memory, logs[0]
 
 
 def main() -> None:
@@ -134,13 +126,10 @@ def run_hooked_pipeline(grad_worker_frac: float):
     """The same HYBRID-OPT job driven through Trainer + GradientPipeline."""
     from repro.training import GradientPipeline, Trainer
 
-    world = ThreadedWorld(WORLD_SIZE, cost_model=PerformanceModel())
-    final_params = [None] * WORLD_SIZE
-    posted = [0] * WORLD_SIZE
     loss_fn = nn.CrossEntropyLoss()
 
-    def rank_program(rank: int) -> None:
-        comm = world.communicator(rank)
+    def rank_program(comm):
+        rank = comm.rank
         model = MLP(10, [32], 4, rng=np.random.default_rng(rank))
         DistributedDataParallel(model, comm)  # broadcast rank 0's weights
         optimizer = optim.SGD(model.parameters(), lr=0.05, momentum=0.9)
@@ -162,14 +151,10 @@ def run_hooked_pipeline(grad_worker_frac: float):
             indices = batch_rng.integers(0, len(FEATURES), 64)
             local = indices[rank::WORLD_SIZE]
             trainer.train_step((FEATURES[local], LABELS[local]))
-        final_params[rank] = np.concatenate([p.data.ravel() for p in model.parameters()])
-        posted[rank] = pipeline.stats["buckets_posted_in_backward"]
+        final_params = np.concatenate([p.data.ravel() for p in model.parameters()])
+        return final_params, pipeline.stats["buckets_posted_in_backward"]
 
-    threads = [threading.Thread(target=rank_program, args=(rank,)) for rank in range(WORLD_SIZE)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    final_params, posted = zip(*run_spmd(WORLD_SIZE, rank_program, cost_model=PerformanceModel()))
     return final_params, posted
 
 

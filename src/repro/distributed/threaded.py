@@ -20,6 +20,7 @@ import numpy as np
 
 from ..analysis.sanitizer import CollectiveSanitizer, SanitizerError, capture_call_site, sanitize_enabled
 from .backend import CommunicationLog, Communicator, CompletedWork, WorkHandle, WorkHandleError
+from .blas import blas_thread_budget, usable_cores
 from .cost_model import PerformanceModel
 
 __all__ = ["ThreadedWorld", "ThreadedCommunicator", "ThreadedWork", "run_spmd"]
@@ -411,6 +412,10 @@ def run_spmd(
 
     Exceptions raised on any rank are re-raised in the caller after all
     threads have finished (so a failing rank cannot silently hang the test).
+    While the ranks run, each bundled OpenBLAS is capped at
+    ``max(1, min(current, cores // world_size))`` threads (see
+    :func:`~repro.distributed.blas.blas_thread_budget`), so the ranks do not
+    oversubscribe the host's cores; a 1-rank world keeps its count.
     ``sanitize`` forces the collective sanitizer on/off for this world
     (default: the ``REPRO_SANITIZE`` environment toggle).
     """
@@ -425,10 +430,11 @@ def run_spmd(
             errors[rank] = exc
 
     threads = [threading.Thread(target=target, args=(rank,), daemon=True) for rank in range(world_size)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with blas_thread_budget(usable_cores() // world_size):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     for rank, error in enumerate(errors):
         if error is not None:
             raise RuntimeError(f"rank {rank} failed") from error

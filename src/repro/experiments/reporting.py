@@ -50,8 +50,15 @@ _RECORDED_TOGGLES = (
 
 
 def bench_run_metadata() -> Dict[str, Any]:
-    """Machine/toggle metadata stamped into benchmark files (no git required)."""
+    """Machine/toggle metadata stamped into benchmark files (no git required).
+
+    ``nproc`` and ``blas_threads`` (each bundled OpenBLAS's effective thread
+    count, outside any threaded world) are what ``run_spmd``'s per-rank BLAS
+    thread budget is computed from.
+    """
     import numpy
+
+    from ..distributed.blas import blas_threads, usable_cores
 
     return {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -59,6 +66,8 @@ def bench_run_metadata() -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
         "machine": platform.machine(),
+        "nproc": usable_cores(),
+        "blas_threads": blas_threads(),
         "argv0": Path(sys.argv[0]).name if sys.argv else "",
         "env": {name: os.environ.get(name, "") for name in _RECORDED_TOGGLES},
     }

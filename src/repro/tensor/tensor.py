@@ -12,7 +12,8 @@ mirrors the parts of PyTorch that K-FAC relies on:
   ``Module.register_full_backward_hook``), and
   ``Tensor.register_grad_ready_hook`` announcing a finalized leaf gradient —
   the event the gradient pipeline posts communication buckets on,
-* a ``no_grad`` context manager used for evaluation and factor bookkeeping.
+* a ``no_grad`` context manager used for evaluation and factor bookkeeping
+  (thread-local, so one rank thread's ``no_grad`` never affects another's).
 
 Only floating point dtypes are supported; integer inputs (e.g. token ids or
 class labels) are passed around as plain numpy arrays.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,18 @@ from .dtypes import get_default_dtype, resolve_dtype
 
 __all__ = ["Tensor", "Function", "RemovableHandle", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread autograd switch; every thread starts with recording enabled.
+
+    Rank threads of a threaded world each own their graph, so one rank's
+    ``no_grad`` must not switch recording off for another.
+    """
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 #: Monotonic ids shared by every hook collection (tensor and module level), so
 #: a handle can never collide with another registration anywhere in a process.
@@ -77,18 +90,17 @@ def _register_hook(hooks: "Dict[int, Callable]", hook: Callable) -> RemovableHan
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables gradient tracking inside its block."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record autograd history."""
-    return _GRAD_ENABLED
+    """Return whether operations on this thread currently record autograd history."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -132,7 +144,7 @@ class Function:
         ctx = cls(*tensor_args)
         raw = [a.data if isinstance(a, Tensor) else a for a in args]
         out_data = ctx.forward(*raw, **kwargs)
-        requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in tensor_args)
+        requires_grad = _GRAD_MODE.enabled and any(t.requires_grad for t in tensor_args)
         out = Tensor(out_data, requires_grad=requires_grad, _copy=False)
         if requires_grad:
             out._ctx = ctx

@@ -326,7 +326,9 @@ def test_write_bench_json_envelope(tmp_path):
     assert doc["data"] == {"value": 1}
     assert doc["metrics"] == {"spans": {}}
     run = doc["run"]
-    assert set(run) >= {"timestamp", "python", "numpy", "platform", "env"}
+    assert set(run) >= {"timestamp", "python", "numpy", "platform", "nproc", "blas_threads", "env"}
+    assert run["nproc"] >= 1
+    assert all(count >= 1 for count in run["blas_threads"].values())
     assert set(run["env"]) == {
         "REPRO_COMM_OVERLAP",
         "REPRO_HOOK_PIPELINE",

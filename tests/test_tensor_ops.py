@@ -1,5 +1,7 @@
 """Tests for the Tensor autograd engine: forward semantics and graph behaviour."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,41 @@ class TestAutogradMechanics:
             assert not is_grad_enabled()
             y = x * 2
         assert not y.requires_grad
+        assert is_grad_enabled()
+
+    def test_no_grad_is_thread_local(self):
+        # One thread holds no_grad while another builds a graph and runs
+        # backward: the switch must not leak across threads (rank threads of
+        # a threaded world enter no_grad in BatchNorm2d on every step).
+        inside, built = threading.Event(), threading.Event()
+        seen = {}
+
+        def holder():
+            with no_grad():
+                inside.set()
+                built.wait(10)
+                seen["holder_enabled"] = is_grad_enabled()
+
+        def recorder():
+            inside.wait(10)
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            y = (x * x).sum()
+            seen["recorder_enabled"] = is_grad_enabled()
+            seen["recorder_requires_grad"] = y.requires_grad
+            y.backward()
+            seen["grad"] = x.grad.copy()
+            built.set()
+
+        threads = [threading.Thread(target=holder), threading.Thread(target=recorder)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen["holder_enabled"] is False
+        assert seen["recorder_enabled"] is True
+        assert seen["recorder_requires_grad"] is True
+        np.testing.assert_array_equal(seen["grad"], [2.0, 4.0])
         assert is_grad_enabled()
 
     def test_hook_receives_gradient(self):
